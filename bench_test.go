@@ -258,6 +258,36 @@ func BenchmarkAnnealEnergy(b *testing.B) {
 	}
 }
 
+// BenchmarkQuenchSynthetic4 isolates the greedy quench that ends every
+// anneal, on a fixed post-anneal Synthetic4 placement. Anneal's output is
+// already at the quench's local optimum, so each op is the descent's
+// final, verifying pass: every component scanned at every plane position
+// in both rotations, with no move taken.
+func BenchmarkQuenchSynthetic4(b *testing.B) {
+	bm, err := benchdata.ByName("Synthetic4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := benchOpts()
+	comps := bm.Alloc.Instantiate()
+	sched, err := schedule.Schedule(bm.Graph, comps, opts.Schedule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nets := place.BuildNets(sched, opts.Place.Beta, opts.Place.Gamma)
+	pl, err := place.Anneal(comps, nets, opts.Place)
+	if err != nil {
+		b.Fatal(err)
+	}
+	work := pl.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work.CopyFrom(pl)
+		place.Quench(work, nets, opts.Place.Spacing)
+	}
+}
+
 // BenchmarkAStarSynthetic4 isolates the routing stage on a fixed
 // schedule and placement; allocations are reported because the A* core
 // is designed to be allocation-free per task.

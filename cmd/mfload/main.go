@@ -110,7 +110,7 @@ func main() {
 		if err != nil {
 			fail(1, "listening: %v", err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := server.NewHTTPServer(srv.Handler())
 		go hs.Serve(ln)
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -191,7 +191,7 @@ func main() {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := server.NewHTTPServer(s.Handler())
 
 	if *debugAddr != "" {
 		// pprof lives on its own mux and listener: the profiling surface

@@ -71,11 +71,6 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 		tr.BeginTID(obs.CatPlace, "anneal", tid)
 	}
 
-	// tieEps separates genuine energy deltas (multiples of half a cell
-	// times a connection priority) from summation-order roundoff noise
-	// (~1e-11 at these energy magnitudes). Below it the move is treated
-	// as a potential tie and scored with the full sum.
-	const tieEps = 1e-6
 	// The fault check shares the temperature-step poll boundary with the
 	// ctx poll: outside the SA RNG path, so an un-armed plan cannot
 	// perturb the anneal trajectory.
@@ -89,13 +84,13 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 		}
 		var accepted, rejected, infeasible int
 		for i := 0; i < pr.Imax; i++ {
-			undo, delta, ok := transform(p, pr.Spacing, r, ix)
+			mv, delta, ok := transform(p, pr.Spacing, r, ix)
 			if !ok {
 				infeasible++
 				continue
 			}
 			next, haveNext := 0.0, false
-			if delta > -tieEps && delta < tieEps {
+			if delta > -tieEps && delta < tieEps { // potential tie: score the full sum
 				next, haveNext = Energy(p, nets), true
 				delta = next - cur
 			}
@@ -110,7 +105,7 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 				}
 				accepted++
 			} else {
-				undo()
+				mv.undo(p)
 				rejected++
 			}
 		}
@@ -138,56 +133,28 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 	return best, nil
 }
 
-// quench exhaustively relocates single components (including rotation)
-// while any move strictly reduces the Eq. 3 energy. Candidates are scored
-// on the nets incident to the moved component only: the rest of the sum
-// is unchanged by the move, so the ordering matches scoring full
-// energies — except within tieEps of the incumbent, where summation-order
-// roundoff on the full sum decides the "strictly less" test. Those
-// near-ties fall back to comparing the full sums bit-for-bit, keeping the
-// descent trajectory identical to the full-recompute implementation (see
-// referenceQuench in the tests).
-func quench(p *Placement, nets []Net, ix *NetIndex, spacing int) {
-	_ = quenchCtx(context.Background(), p, nets, ix, spacing)
+// Quench exhaustively relocates single components (including rotation)
+// while any move strictly reduces the Eq. 3 energy: the deterministic
+// greedy tail AnnealContext and the tempered annealer run after SA, for
+// use on a placement that is already legal. Each component's candidates
+// are scored by the relocScan kernel: O(1) per candidate from a
+// summed-area occupancy table and separable cost rows, with near-ties
+// decided by the full sums, so the descent is identical to scoring every
+// candidate with the full Energy (see referenceQuench in the tests).
+func Quench(p *Placement, nets []Net, spacing int) {
+	_ = quenchCtx(context.Background(), p, nets, BuildNetIndex(len(p.Rects), nets), spacing)
 }
 
-// quenchCtx is quench with a cancellation poll between descent passes.
+// quenchCtx is Quench with a cancellation poll between descent passes.
 func quenchCtx(ctx context.Context, p *Placement, nets []Net, ix *NetIndex, spacing int) error {
-	const tieEps = 1e-6
+	s := newRelocScan(p.W, p.H)
 	for improved := true; improved; {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("place: quench aborted: %w", err)
 		}
 		improved = false
 		for i := range p.Rects {
-			old := p.Rects[i]
-			bestRect, bestE := old, ix.CompEnergy(p, i)
-			for rot := 0; rot < 2; rot++ {
-				cand := old
-				if rot == 1 {
-					cand.W, cand.H = cand.H, cand.W
-				}
-				for yy := spacing; yy+cand.H <= p.H-spacing; yy++ {
-					for xx := spacing; xx+cand.W <= p.W-spacing; xx++ {
-						cand.X, cand.Y = xx, yy
-						if overlapsAny(p, i, cand, spacing) {
-							continue
-						}
-						e := ix.CompEnergyAt(p, i, cand)
-						d := e - bestE
-						if d >= tieEps {
-							continue // certainly worse
-						}
-						if d > -tieEps && !fullLess(p, nets, i, cand, bestRect) {
-							continue // full-sum tie-break says not better
-						}
-						bestE = e
-						bestRect = cand
-					}
-				}
-			}
-			if bestRect != old {
-				p.Rects[i] = bestRect
+			if s.commit(p, i, s.relocate(p, ix, nets, i, spacing, true)) {
 				improved = true
 			}
 		}
@@ -210,11 +177,26 @@ func fullLess(p *Placement, nets []Net, i int, cand, best Rect) bool {
 	return ec < eb
 }
 
+// move records what one transformation operation changed, so a rejected
+// move is undone without allocating. j is -1 for single-component moves.
+type move struct {
+	i, j   int
+	oi, oj Rect
+}
+
+// undo restores the rectangles the move replaced.
+func (m move) undo(p *Placement) {
+	p.Rects[m.i] = m.oi
+	if m.j >= 0 {
+		p.Rects[m.j] = m.oj
+	}
+}
+
 // transform applies one random legal transformation operation to p and
-// returns an undo closure together with the Eq. 3 energy delta of the
-// move, evaluated over the incident nets only. ok is false when the
-// sampled move was illegal and p is unchanged.
-func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo func(), delta float64, ok bool) {
+// returns the move together with its Eq. 3 energy delta, evaluated over
+// the incident nets only. ok is false when the sampled move was illegal
+// and p is unchanged.
+func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, delta float64, ok bool) {
 	n := len(p.Rects)
 	switch r.Intn(3) {
 	case 0: // translate one component
@@ -224,26 +206,26 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo fun
 		cand.X = spacing + r.Intn(max(1, p.W-2*spacing-cand.W+1))
 		cand.Y = spacing + r.Intn(max(1, p.H-2*spacing-cand.H+1))
 		if !fitsAt(p, i, cand, spacing) {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
 		delta = ix.CompEnergy(p, i) - before
-		return func() { p.Rects[i] = old }, delta, true
+		return move{i: i, j: -1, oi: old}, delta, true
 	case 1: // rotate one component 90°
 		i := r.Intn(n)
 		old := p.Rects[i]
 		cand := Rect{X: old.X, Y: old.Y, W: old.H, H: old.W}
 		if !fitsAt(p, i, cand, spacing) {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
 		delta = ix.CompEnergy(p, i) - before
-		return func() { p.Rects[i] = old }, delta, true
+		return move{i: i, j: -1, oi: old}, delta, true
 	default: // swap the positions of two components
 		if n < 2 {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		i := r.Intn(n)
 		j := r.Intn(n - 1)
@@ -262,13 +244,13 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo fun
 		if !okI || !okJ {
 			p.Rects[i] = oi
 			p.Rects[j] = oj
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		p.Rects[i], p.Rects[j] = oi, oj
 		before := ix.PairEnergy(p, i, j)
 		p.Rects[i], p.Rects[j] = ci, cj
 		delta = ix.PairEnergy(p, i, j) - before
-		return func() { p.Rects[i], p.Rects[j] = oi, oj }, delta, true
+		return move{i: i, j: j, oi: oi, oj: oj}, delta, true
 	}
 }
 
@@ -314,9 +296,11 @@ func ConstructContext(ctx context.Context, comps []chip.Component, nets []Net, p
 		flat[i] = Net{A: n.A, B: n.B, CP: 1}
 	}
 	ix := BuildNetIndex(len(comps), flat)
-	// Correction: sequential single-component relocation passes, scored
-	// incrementally on the moved component's incident nets.
+	// Correction: sequential single-component relocation passes through
+	// the quench's scan kernel, in one rotation. nil nets select strict
+	// "<": unit priorities make every sum exact, so ties need no fallback.
 	const passes = 3
+	s := newRelocScan(w, h)
 	flt := fault.From(ctx)
 	for pass := 0; pass < passes; pass++ {
 		if err := ctx.Err(); err != nil {
@@ -327,23 +311,7 @@ func ConstructContext(ctx context.Context, comps []chip.Component, nets []Net, p
 		}
 		improved := false
 		for i := range p.Rects {
-			old := p.Rects[i]
-			bestRect, bestE := old, ix.CompEnergy(p, i)
-			cand := old
-			for yy := pr.Spacing; yy+cand.H <= h-pr.Spacing; yy++ {
-				for xx := pr.Spacing; xx+cand.W <= w-pr.Spacing; xx++ {
-					cand.X, cand.Y = xx, yy
-					if overlapsAny(p, i, cand, pr.Spacing) {
-						continue
-					}
-					if e := ix.CompEnergyAt(p, i, cand); e < bestE {
-						bestE = e
-						bestRect = cand
-					}
-				}
-			}
-			if bestRect != old {
-				p.Rects[i] = bestRect
+			if s.commit(p, i, s.relocate(p, ix, nil, i, pr.Spacing, false)) {
 				improved = true
 			}
 		}

@@ -316,17 +316,10 @@ func fitsAt(p *Placement, i int, cand Rect, spacing int) bool {
 		cand.X+cand.W > p.W-spacing || cand.Y+cand.H > p.H-spacing {
 		return false
 	}
-	return !overlapsAny(p, i, cand, spacing)
-}
-
-func overlapsAny(p *Placement, i int, cand Rect, spacing int) bool {
-	for j := range p.Rects {
-		if j == i || p.Rects[j].W == 0 {
-			continue
-		}
-		if cand.expandedOverlaps(p.Rects[j], spacing) {
-			return true
+	for j, r := range p.Rects {
+		if j != i && r.W != 0 && cand.expandedOverlaps(r, spacing) {
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -294,11 +294,11 @@ func TestUndoRestoresPlacement(t *testing.T) {
 	ix := BuildNetIndex(len(comps), nil)
 	for i := 0; i < 500; i++ {
 		before := p.Clone()
-		undo, _, ok := transform(p, 1, r, ix)
+		mv, _, ok := transform(p, 1, r, ix)
 		if !ok {
 			continue
 		}
-		undo()
+		mv.undo(p)
 		for j := range p.Rects {
 			if p.Rects[j] != before.Rects[j] {
 				t.Fatalf("undo failed at move %d comp %d", i, j)

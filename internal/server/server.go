@@ -298,6 +298,22 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
+// Listener timeouts of the API's http.Server. A client must finish its
+// request headers within ReadHeaderTimeout, so one that trickles them
+// cannot pin a connection forever. A kept-alive connection may sit idle
+// for IdleTimeout between requests, long enough that a steady client's
+// connections are reused rather than redialed.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns the http.Server the API is served with: h behind
+// the listener timeouts.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Shutdown stops accepting jobs and drains the worker pool (see
 // jobq.Queue.Shutdown), then closes the journal. Jobs the drain cuts off
 // stay pending in the journal and are resubmitted by the next process.
