@@ -52,9 +52,10 @@ bench-smoke:
 	done
 
 # Workload-engine benchmarks, same loud-fail guard: the warm batch-submit
-# path and schedule materialization must both still exist by name.
-BENCH_LOAD_NAMES := BenchmarkBatchSubmit BenchmarkScheduleBuild
-BENCH_LOAD_REGEX := BenchmarkBatchSubmit|BenchmarkScheduleBuild
+# path, the warm single-request cache hit and schedule materialization
+# must all still exist by name.
+BENCH_LOAD_NAMES := BenchmarkBatchSubmit BenchmarkServeCacheHit BenchmarkScheduleBuild
+BENCH_LOAD_REGEX := BenchmarkBatchSubmit|BenchmarkServeCacheHit|BenchmarkScheduleBuild
 
 bench-load:
 	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ 2>&1); \

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/fluid"
 	"repro/internal/unit"
@@ -97,6 +98,12 @@ type Graph struct {
 	edges    []Edge
 	children [][]OpID // adjacency, sorted
 	parents  [][]OpID
+
+	// canon memoizes the stable encoding (see CanonicalJSON). Immutability
+	// is what makes the memo sound: the bytes cannot go stale.
+	canonOnce sync.Once
+	canon     []byte
+	canonErr  error
 }
 
 // Name returns the assay's name.

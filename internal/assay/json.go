@@ -49,6 +49,16 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(jg, "", "  ")
 }
 
+// CanonicalJSON returns the bytes MarshalJSON produces, computed once per
+// graph and kept on it: content addressing hashes them on every request
+// that names the graph. The slice is shared; callers must not modify it.
+// The bytes live as long as the graph, so a long-lived graph encoded only
+// once, such as a chip session's pinned assay, should use MarshalJSON.
+func (g *Graph) CanonicalJSON() ([]byte, error) {
+	g.canonOnce.Do(func() { g.canon, g.canonErr = g.MarshalJSON() })
+	return g.canon, g.canonErr
+}
+
 // Decode reads a graph from JSON, resolving dependency endpoints by
 // operation name, and validates it.
 func Decode(r io.Reader) (*Graph, error) {

@@ -3,6 +3,7 @@ package assay
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fluid"
@@ -39,6 +40,35 @@ func TestJSONRoundTrip(t *testing.T) {
 		if a.Name != b.Name || a.Type != b.Type || a.Duration != b.Duration ||
 			a.Output.Name != b.Output.Name || a.Output.D != b.Output.D {
 			t.Errorf("op %d changed: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestCanonicalJSONMemoized: the memoized encoding equals a fresh
+// MarshalJSON and is computed once: every caller, concurrent ones
+// included, gets the same backing array.
+func TestCanonicalJSONMemoized(t *testing.T) {
+	g := sample(t)
+	fresh, err := g.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = g.CanonicalJSON()
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range got {
+		if !bytes.Equal(b, fresh) {
+			t.Fatalf("caller %d: CanonicalJSON differs from MarshalJSON:\n%s\nvs\n%s", i, b, fresh)
+		}
+		if &b[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own encoding: the memo was recomputed", i)
 		}
 	}
 }

@@ -178,12 +178,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// trace, so a traced batch yields one timeline per member job.
 		rec := s.newRecorder(traceID, parentSpan)
 
-		if data, hit := s.cache.Get(req.key); hit {
-			res, err := resultFromCache(req.key, data)
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, "member %d: cached solution invalid: %v", i, err)
-				return
-			}
+		if e, hit := s.cache.Get(req.key); hit {
+			res := resultFromEntry(req.key, e)
 			s.seal(rec, res, routeCacheHit)
 			id, err := s.q.Complete(label, res, "served from cache")
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +224,8 @@ func TestClusterWarmCrossNodeHit(t *testing.T) {
 	if !warm.Cached || warm.Peer != nodes[0].url {
 		t.Fatalf("cross-node hit not peered from owner: %+v", warm)
 	}
+	// The peer fetch cached what node 0's local miss cached.
+	sameEntry(t, nodes[0].srv, nodes[1].srv, keyOf(t, body))
 }
 
 // TestClusterHopGuard: a request that already used its hop budget must
@@ -359,6 +362,38 @@ func TestClusterFallbackAndWriteBack(t *testing.T) {
 	}
 	if got := nodes[1].srv.metrics.peerStored.Value(); got != 1 {
 		t.Fatalf("owner peerStored = %d, want 1", got)
+	}
+	// The write-back stored what the local miss on node 0 stored.
+	sameEntry(t, nodes[0].srv, nodes[1].srv, key)
+
+	// Forward path: with node 1 healthy again, a request it owns is
+	// forwarded there, and node 0 caches the reply with the metadata of
+	// node 1's local miss.
+	nodes[1].sw.set(real)
+	fwd := ""
+	for seed := 1; seed < 1000 && fwd == ""; seed++ {
+		b := fmt.Sprintf(`{"bench":"PCR","options":{"imax":60,"seed":%d}}`, seed)
+		if owner, _ := nodes[0].cl.Owner(keyOf(t, b)); owner == nodes[1].url && b != body {
+			fwd = b
+		}
+	}
+	if code := postWithHeaders(t, nodes[0].url, fwd, nil, &sub); code != http.StatusAccepted {
+		t.Fatalf("forward submit: status %d", code)
+	}
+	if jr := waitTerminal(t, nodes[0].url, sub.JobID, 30*time.Second); jr.Status != "done" || jr.Peer != nodes[1].url {
+		t.Fatalf("forwarded job: %+v", jr)
+	}
+	sameEntry(t, nodes[1].srv, nodes[0].srv, keyOf(t, fwd))
+}
+
+// sameEntry checks that the entry src stored for key on a local miss and
+// the one dst stored from the bytes src sent match their decodes and
+// each other.
+func sameEntry(t *testing.T, src, dst *Server, key string) {
+	t.Helper()
+	want, got := entryMatchesDecode(t, src, key), entryMatchesDecode(t, dst, key)
+	if !bytes.Equal(got.Doc, want.Doc) || !reflect.DeepEqual(got.Meta, want.Meta) {
+		t.Fatalf("entry stored from a peer differs from the local miss's:\n got  %+v\n want %+v", got.Meta, want.Meta)
 	}
 }
 

@@ -27,7 +27,7 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "malformed cache key %q", key)
 		return
 	}
-	data, ok := s.cache.Get(key)
+	e, ok := s.cache.Get(key)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no cached solution for %s", key)
 		return
@@ -35,7 +35,7 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	s.metrics.peerServed.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache-Key", key)
-	_, _ = w.Write(data)
+	_, _ = w.Write(e.Doc)
 }
 
 // handlePeerPut accepts a write-back: a solution this node owns but a
@@ -52,14 +52,15 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "reading write-back: %v", err)
 		return
 	}
-	// Decode before caching: the cache must only ever hold documents
-	// that parse (resultFromCache treats a non-decoding entry as a
-	// server bug).
-	if _, err := solio.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+	// Decode before caching: a local hit serves the entry without
+	// decoding it again, so the cache must only ever hold documents that
+	// pass every validator, with the metadata their decode recovered.
+	sol, err := solio.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "write-back does not decode: %v", err)
 		return
 	}
-	s.cache.Put(key, append([]byte(nil), buf.Bytes()...))
+	s.cache.Put(key, buf.Bytes(), solcache.Meta{Metrics: sol.Metrics(), Degradations: sol.Degradations})
 	s.metrics.peerStored.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -35,7 +35,8 @@ type SynthesizeRequest struct {
 }
 
 // ProtocolSpec describes a bioassay via the internal/protocol builders
-// instead of an explicit operation list.
+// instead of an explicit operation list. Each size parameter, and
+// Samples × Reagents, is at most maxProtocolSize (256).
 type ProtocolSpec struct {
 	// Name of the generated assay; defaults to the protocol kind.
 	Name string `json:"name,omitempty"`
@@ -181,8 +182,22 @@ func resolve(req *SynthesizeRequest) (*request, error) {
 	return &request{graph: g, alloc: alloc, opts: opts, baseline: req.Baseline, key: key}, nil
 }
 
+// maxProtocolSize bounds every size parameter of a ProtocolSpec, and the
+// multiplex panel's samples × reagents. Building is linear in those
+// numbers, so without a bound a body of a few bytes could ask resolve
+// for billions of operations.
+const maxProtocolSize = 256
+
 // buildProtocol constructs the assay a ProtocolSpec describes.
 func buildProtocol(p *ProtocolSpec) (*assay.Graph, error) {
+	for _, n := range []int{p.Leaves, p.Stages, p.Samples, p.Reagents, p.Cycles} {
+		if n > maxProtocolSize {
+			return nil, fmt.Errorf("protocol size %d over the limit of %d", n, maxProtocolSize)
+		}
+	}
+	if p.Samples*p.Reagents > maxProtocolSize {
+		return nil, fmt.Errorf("protocol panel of %d×%d over the limit of %d", p.Samples, p.Reagents, maxProtocolSize)
+	}
 	name := p.Name
 	if name == "" {
 		name = p.Kind
@@ -264,12 +279,13 @@ type canonOpts struct {
 }
 
 // cacheKey derives the content address of the solution determined by
-// (assay, allocation, options, algorithm). The assay is re-encoded
-// through its stable MarshalJSON so client formatting (whitespace, field
-// order of the original upload) cannot split identical requests across
-// keys.
+// (assay, allocation, options, algorithm). The assay enters as its
+// canonical encoding, not the client's bytes, so formatting (whitespace,
+// field order of the original upload) cannot split identical requests
+// across keys. That encoding is memoized on the graph, so a built-in
+// benchmark, whose graph is shared, is encoded once per process.
 func cacheKey(g *assay.Graph, alloc chip.Allocation, opts core.Options, baseline bool) (string, error) {
-	assayJSON, err := g.MarshalJSON()
+	assayJSON, err := g.CanonicalJSON()
 	if err != nil {
 		return "", err
 	}

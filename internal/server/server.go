@@ -299,19 +299,24 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Listener timeouts of the API's http.Server. A client must finish its
-// request headers within ReadHeaderTimeout, so one that trickles them
-// cannot pin a connection forever. A kept-alive connection may sit idle
-// for IdleTimeout between requests, long enough that a steady client's
-// connections are reused rather than redialed.
+// request headers within ReadHeaderTimeout, and the whole request, body
+// included, within ReadTimeout, so one that trickles either cannot pin a
+// connection forever. ReadTimeout only bounds reading: net/http clears
+// the read deadline once the body is consumed, so a handler that then
+// synthesizes for longer is not cut off. A kept-alive connection may sit
+// idle for IdleTimeout between requests, long enough that a steady
+// client's connections are reused rather than redialed.
 const (
 	ReadHeaderTimeout = 5 * time.Second
+	ReadTimeout       = 10 * time.Second
 	IdleTimeout       = 120 * time.Second
 )
 
 // NewHTTPServer returns the http.Server the API is served with: h behind
 // the listener timeouts.
 func NewHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout: ReadTimeout, IdleTimeout: IdleTimeout}
 }
 
 // Shutdown stops accepting jobs and drains the worker pool (see
@@ -512,15 +517,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(cluster.HeaderTraceID, rec.TraceID())
 
 	probeStart := time.Now()
-	data, hit := s.cache.Get(req.key)
-	if hit {
+	if e, hit := s.cache.Get(req.key); hit {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
-		res, err := resultFromCache(req.key, data)
-		if err != nil {
-			// A corrupt cache entry is a server bug; fail loudly.
-			writeErr(w, http.StatusInternalServerError, "cached solution invalid: %v", err)
-			return
-		}
+		res := resultFromEntry(req.key, e)
 		s.seal(rec, res, routeCacheHit)
 		id, err := s.q.Complete(RequestID(r.Context()), res, "served from cache")
 		if err != nil {
@@ -544,7 +543,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		hops = cluster.Hops(r.Header)
 		pctx := obs.WithSpans(r.Context(), rec) // peer probes record peer.fetch spans
 		if doc, peer, ok := s.cl.FetchSolution(pctx, req.key, RequestID(r.Context())); ok {
-			res, err := resultFromCache(req.key, doc)
+			res, err := resultFromPeer(req.key, doc)
 			if err != nil {
 				// A peer vouched for bytes that don't decode: don't cache
 				// them, just synthesize as if the peering missed.
@@ -552,7 +551,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 					"peer", peer, "key", req.key, "err", err)
 			} else {
 				res.peer = peer
-				s.cache.Put(req.key, res.solution)
+				s.cache.Put(req.key, res.solution, res.cacheMeta())
 				s.seal(rec, res, routePeerHit)
 				id, err := s.q.Complete(RequestID(r.Context()), res, "served from peer "+peer)
 				if err != nil {
@@ -734,7 +733,7 @@ func (s *Server) synthesizeLocal(ctx context.Context, req *request, progress fun
 	}
 	doc := append([]byte(nil), buf.Bytes()...)
 	putBuf(buf)
-	s.cache.Put(req.key, doc)
+	s.cache.Put(req.key, doc, solcache.Meta{Metrics: met, Degradations: sol.Degradations})
 	progress("done")
 	return &jobResult{key: req.key, solution: doc, metrics: met,
 		stages: stages, degradations: sol.Degradations}, nil
@@ -775,13 +774,13 @@ func (s *Server) forwardJob(req *request, owner, requestID string, hops int, bod
 		doc, spans, err := s.cl.SynthesizeRemote(fctx, owner, req.key, requestID,
 			obs.TraceContext{TraceID: rec.TraceID(), Parent: fid}, hops, body)
 		if err == nil {
-			res, derr := resultFromCache(req.key, doc)
+			res, derr := resultFromPeer(req.key, doc)
 			if derr == nil {
 				rec.AddID(fid, "forward", "", fstart, time.Since(fstart), owner)
 				rec.Import(spans)
 				res.cached = false
 				res.peer = owner
-				s.cache.Put(req.key, res.solution)
+				s.cache.Put(req.key, res.solution, res.cacheMeta())
 				progress("done (synthesized by " + owner + ")")
 				s.seal(rec, res, routeForwarded)
 				return res, nil
@@ -814,16 +813,31 @@ func (s *Server) forwardJob(req *request, owner, requestID string, hops int, bod
 	}
 }
 
-// resultFromCache rebuilds a jobResult from a cached document, decoding
-// it to recover the solution metrics (and, as a side effect, re-running
-// every validator on the cached bytes).
-func resultFromCache(key string, data []byte) (*jobResult, error) {
+// resultFromEntry answers a local cache hit straight from the entry: the
+// document was validated when it was inserted, and the entry carries the
+// metrics and degradations a decode would recover, so nothing is decoded.
+func resultFromEntry(key string, e solcache.Entry) *jobResult {
+	return &jobResult{key: key, cached: true, solution: e.Doc,
+		metrics: e.Metrics, degradations: e.Degradations}
+}
+
+// resultFromPeer builds a jobResult from a document another node sent
+// (a read-through fetch or a forward's reply). Those bytes are not
+// trusted: solio.Decode runs every validator on them, and the decoded
+// solution supplies the metrics and degradations the cache stores with
+// them.
+func resultFromPeer(key string, data []byte) (*jobResult, error) {
 	sol, err := solio.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	return &jobResult{key: key, cached: true, solution: data,
 		metrics: sol.Metrics(), degradations: sol.Degradations}, nil
+}
+
+// cacheMeta is the hit metadata the cache stores next to r's document.
+func (r *jobResult) cacheMeta() solcache.Meta {
+	return solcache.Meta{Metrics: r.metrics, Degradations: r.degradations}
 }
 
 // metricsJSON mirrors core.Metrics with explicit units.

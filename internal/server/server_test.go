@@ -299,6 +299,8 @@ func TestRequestValidation(t *testing.T) {
 		{"bad alloc", `{"bench":"PCR","alloc":"nope"}`},
 		{"uncovering alloc", `{"bench":"PCR","alloc":"(0,0,0,1)"}`},
 		{"bad protocol kind", `{"protocol":{"kind":"unknown"}}`},
+		{"oversize protocol", `{"protocol":{"kind":"mixing_tree","leaves":1073741824}}`},
+		{"oversize panel", `{"protocol":{"kind":"multiplex","samples":200,"reagents":200}}`},
 		{"bad assay json", `{"assay":{"nope":1}}`},
 	}
 	for _, tc := range cases {

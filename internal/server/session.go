@@ -205,9 +205,9 @@ func (s *Server) openSession(ctx context.Context, sid string, req *request, rec 
 // the node.
 func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.SpanRecorder) (*core.Solution, bool, error) {
 	probeStart := time.Now()
-	if data, hit := s.cache.Get(req.key); hit {
+	if e, hit := s.cache.Get(req.key); hit {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
-		if sol, err := solio.Decode(bytes.NewReader(data)); err == nil {
+		if sol, err := solio.Decode(bytes.NewReader(e.Doc)); err == nil {
 			return sol, true, nil
 		}
 		// A corrupt cache entry falls through to a fresh synthesis, which

@@ -5,7 +5,10 @@
 // content-addressable: the cache key is the SHA-256 of a canonical
 // encoding of those inputs, and the value is the solio-serialized
 // solution, byte-identical to what a fresh synthesis of the same request
-// would produce. Entries are bounded by total byte size with
+// would produce. Next to the document an entry keeps the hit metadata —
+// the solution's metrics and degradation rungs — so a hit is answered
+// without decoding the document again: it was validated once, when it
+// was inserted. Entries are bounded by total byte size with
 // least-recently-used eviction, and hit/miss counters feed the service's
 // /metrics endpoint.
 package solcache
@@ -14,8 +17,10 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -37,7 +42,22 @@ type Cache struct {
 
 type entry struct {
 	key string
-	val []byte
+	Entry
+}
+
+// Meta is what a hit reports about a document without decoding it: the
+// metrics and degradation rungs the inserting site took from the
+// solution the document encodes.
+type Meta struct {
+	// Metrics has CPU zeroed: wall time is measurement, not content.
+	Metrics      core.Metrics
+	Degradations []core.Degradation
+}
+
+// Entry is one cached solution: the immutable document and its Meta.
+type Entry struct {
+	Doc []byte
+	Meta
 }
 
 // Stats is a point-in-time aggregate of the cache.
@@ -108,33 +128,38 @@ func (c *Cache) SetFault(p *fault.Plan) {
 	c.mu.Unlock()
 }
 
-// Get returns a copy of the cached value and records a hit or miss.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns a copy of the cached entry and records a hit or miss.
+func (c *Cache) Get(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.flt.Fire(fault.CacheGetMiss) {
 		c.misses++
-		return nil, false
+		return Entry{}, false
 	}
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return Entry{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	v := el.Value.(*entry).val
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
+	e := el.Value.(*entry)
+	return Entry{
+		Doc:  slices.Clone(e.Doc),
+		Meta: Meta{Metrics: e.Metrics, Degradations: slices.Clone(e.Degradations)},
+	}, true
 }
 
-// Put stores a copy of val under key, evicting least-recently-used
-// entries if the byte bound would be exceeded. Values larger than the
-// bound are not stored at all. Re-putting an existing key refreshes its
-// recency (the value is content-addressed, so it cannot change).
-func (c *Cache) Put(key string, val []byte) {
-	if int64(len(val)) > c.maxBytes {
+// Put stores a copy of doc and its metadata under key, evicting
+// least-recently-used entries if the byte bound would be exceeded. The
+// caller vouches that meta describes doc: every insertion site either
+// encoded doc from the solution it took meta from, or decoded and
+// validated doc to get meta. Meta's CPU time is zeroed here. Documents
+// larger than the bound are not stored at all. Re-putting an existing
+// key refreshes its recency (the value is content-addressed, so it
+// cannot change).
+func (c *Cache) Put(key string, doc []byte, meta Meta) {
+	if int64(len(doc)) > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
@@ -146,11 +171,11 @@ func (c *Cache) Put(key string, val []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	el := c.ll.PushFront(&entry{key: key, val: cp})
+	meta.Metrics.CPU = 0
+	meta.Degradations = slices.Clone(meta.Degradations)
+	el := c.ll.PushFront(&entry{key: key, Entry: Entry{Doc: slices.Clone(doc), Meta: meta}})
 	c.items[key] = el
-	c.bytes += int64(len(cp))
+	c.bytes += int64(len(doc))
 	for c.bytes > c.maxBytes {
 		oldest := c.ll.Back()
 		if oldest == nil {
@@ -159,7 +184,7 @@ func (c *Cache) Put(key string, val []byte) {
 		e := oldest.Value.(*entry)
 		c.ll.Remove(oldest)
 		delete(c.items, e.key)
-		c.bytes -= int64(len(e.val))
+		c.bytes -= int64(len(e.Doc))
 	}
 }
 
