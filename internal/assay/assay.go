@@ -163,34 +163,69 @@ func (g *Graph) Sinks() []OpID {
 }
 
 // TopoOrder returns the operation IDs in a deterministic topological
-// order (Kahn's algorithm with smallest-ID-first tie breaking).
+// order (Kahn's algorithm with smallest-ID-first tie breaking). The
+// frontier is a binary min-heap, so the order costs O((V+E) log V) even
+// for a wide assay whose frontier holds most of its operations.
 func (g *Graph) TopoOrder() []OpID {
 	indeg := make([]int, len(g.ops))
+	frontier := make(idHeap, 0, len(g.ops))
 	for id := range g.ops {
 		indeg[id] = len(g.parents[id])
-	}
-	// Min-heap behaviour via sorted frontier; graphs are small (≤ hundreds
-	// of ops) so an O(V²) frontier scan would also do, but keep it tidy.
-	frontier := make([]OpID, 0, len(g.ops))
-	for id := range g.ops {
 		if indeg[id] == 0 {
-			frontier = append(frontier, OpID(id))
+			frontier = append(frontier, OpID(id)) // ascending: already a heap
 		}
 	}
 	order := make([]OpID, 0, len(g.ops))
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		id := frontier[0]
-		frontier = frontier[1:]
+		id := frontier.pop()
 		order = append(order, id)
 		for _, c := range g.children[id] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				frontier = append(frontier, c)
+				frontier.push(c)
 			}
 		}
 	}
 	return order
+}
+
+// idHeap is a binary min-heap of operation IDs.
+type idHeap []OpID
+
+func (h *idHeap) push(id OpID) {
+	q := append(*h, id)
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if q[up] <= q[i] {
+			break
+		}
+		q[up], q[i] = q[i], q[up]
+		i = up
+	}
+	*h = q
+}
+
+func (h *idHeap) pop() OpID {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l] < q[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r] < q[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Priorities returns, for every operation, the length of the longest path

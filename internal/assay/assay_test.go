@@ -1,7 +1,9 @@
 package assay
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +209,90 @@ func TestTopoOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sortedFrontierTopoOrder is TopoOrder as it was written first: Kahn's
+// algorithm re-sorting the whole frontier before every pop.
+func sortedFrontierTopoOrder(g *Graph) []OpID {
+	indeg := make([]int, len(g.ops))
+	for id := range g.ops {
+		indeg[id] = len(g.parents[id])
+	}
+	var frontier []OpID
+	for id := range g.ops {
+		if indeg[id] == 0 {
+			frontier = append(frontier, OpID(id))
+		}
+	}
+	var order []OpID
+	for len(frontier) > 0 {
+		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		id := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, id)
+		for _, c := range g.children[id] {
+			indeg[c]--
+			if indeg[c] == 0 {
+				frontier = append(frontier, c)
+			}
+		}
+	}
+	return order
+}
+
+func sameOrder(t *testing.T, what string, got, want []OpID) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d ops ordered, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: position %d is op %d, sorted-frontier order has %d", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTopoOrderMatchesSortedFrontier holds the heap frontier to the
+// sorted-frontier order on random DAGs whose edges run both up and down
+// the ID order (a random rank, not the ID, keeps them acyclic), and on a
+// wide assay: 3000 independent two-op chains whose heads and tails
+// interleave in ID order, so the frontier stays thousands of ops wide.
+func TestTopoOrderMatchesSortedFrontier(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(60)
+		b := NewBuilder("rand")
+		ids := make([]OpID, n)
+		for i := range ids {
+			ids[i] = mixOp(b, fmtNameN(i), 1)
+		}
+		rank := r.Perm(n)
+		seen := map[Edge]bool{}
+		for k := r.Intn(3 * n); k > 0; k-- {
+			i, j := r.Intn(n), r.Intn(n)
+			if rank[i] >= rank[j] || seen[Edge{ids[i], ids[j]}] {
+				continue
+			}
+			seen[Edge{ids[i], ids[j]}] = true
+			b.AddDep(ids[i], ids[j])
+		}
+		g := b.MustBuild()
+		sameOrder(t, fmt.Sprintf("trial %d", trial), g.TopoOrder(), sortedFrontierTopoOrder(g))
+	}
+
+	const width = 3000
+	b := NewBuilder("wide")
+	tails := make([]OpID, width)
+	heads := make([]OpID, width)
+	for i := 0; i < width; i++ {
+		tails[i] = mixOp(b, fmt.Sprintf("t%d", i), 1)
+		heads[i] = mixOp(b, fmt.Sprintf("h%d", i), 1)
+	}
+	for i := 0; i < width; i++ {
+		b.AddDep(heads[width-1-i], tails[i])
+	}
+	g := b.MustBuild()
+	sameOrder(t, "wide assay", g.TopoOrder(), sortedFrontierTopoOrder(g))
 }
 
 func fmtNameN(i int) string {

@@ -3,7 +3,6 @@ package place
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -17,17 +16,21 @@ import (
 // accepting uphill moves with probability exp(-Δ/T), and cools T
 // geometrically by Alpha until Tmin. It returns the best placement seen.
 //
-// Accept/reject is evaluated incrementally: each move scores only the
-// nets incident to the component(s) it touches (via NetIndex). The full
-// Energy sum is recomputed only for accepted moves and for near-tie moves
-// (|Δ| < tieEps), which keeps the running total and the best-so-far
-// comparison bit-identical to recomputing Energy every move: the
-// incident-net delta and the full-sum delta agree mathematically but
-// differ by summation-order roundoff (~1e-11 here), and on energy-neutral
-// moves that roundoff decides whether the Metropolis draw is consumed at
-// all — so ties must fall back to the full sum to preserve the RNG
-// stream. TestIncrementalDeltaMatchesFull pins the agreement and
-// TestSolutionFingerprints (repo root) pins the resulting trajectories.
+// Every move costs O(degree), plus one pass of additions over a suffix of
+// the net list when it is kept or nearly tied; no Eq. 3 term is
+// evaluated for a net the move does not touch. The
+// annealer keeps each net's term and the left fold of those terms (an
+// energyFold), so the running total is always the float64 Energy would
+// return. A move restages only its incident nets' terms and is judged on
+// their delta; a near tie (|Δ| < tieEps) is judged on the full sum
+// instead, resumed from the first restaged net, because there the
+// incident-net roundoff (~1e-11) could decide whether the Metropolis
+// draw is consumed at all. An accepted move commits its terms and
+// rewrites the fold's suffix. The trajectory — RNG stream, running total
+// and best-so-far comparisons — is therefore bit-identical to rescoring
+// every accepted and near-tie move with Energy: FuzzAnnealMatchesReference
+// checks that against a copy of that loop, and TestSolutionFingerprints
+// and TestTemperedFingerprints (repo root) pin the resulting solutions.
 func Anneal(comps []chip.Component, nets []Net, pr Params) (*Placement, error) {
 	return AnnealContext(context.Background(), comps, nets, pr)
 }
@@ -55,15 +58,13 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 		return nil, err
 	}
 	ix := BuildNetIndex(len(comps), nets)
-	cur := Energy(p, nets)
-	best := p.Clone()
-	bestE := cur
+	c := newChain(p, nets, r)
 
 	// Telemetry: one sample per temperature step, emitted at the step
 	// boundary (the same place the cancellation poll sits). The hooks
-	// read cur/bestE and count move outcomes in plain integers — they
-	// never touch the RNG stream or the float comparisons, so a traced
-	// anneal is bit-identical to an untraced one.
+	// read the chain's totals and move counters — they never touch the
+	// RNG stream or the float comparisons, so a traced anneal is
+	// bit-identical to an untraced one.
 	tr := obs.From(ctx)
 	tid := int64(pr.Seed)
 	if tr.Enabled() {
@@ -82,38 +83,13 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 		if err := flt.Err(fault.PlaceStepFail); err != nil {
 			return nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
 		}
-		var accepted, rejected, infeasible int
-		for i := 0; i < pr.Imax; i++ {
-			mv, delta, ok := transform(p, pr.Spacing, r, ix)
-			if !ok {
-				infeasible++
-				continue
-			}
-			next, haveNext := 0.0, false
-			if delta > -tieEps && delta < tieEps { // potential tie: score the full sum
-				next, haveNext = Energy(p, nets), true
-				delta = next - cur
-			}
-			if delta < 0 || r.Float64() < math.Exp(-delta/t) {
-				if !haveNext {
-					next = Energy(p, nets)
-				}
-				cur = next
-				if cur < bestE {
-					bestE = cur
-					best.CopyFrom(p)
-				}
-				accepted++
-			} else {
-				mv.undo(p)
-				rejected++
-			}
-		}
+		c.sweep(t, pr.Imax, pr.Spacing, ix)
 		tr.AnnealStep(obs.AnnealStep{
-			Seed: pr.Seed, Temp: t, Cur: cur, Best: bestE,
-			Accepted: accepted, Rejected: rejected, Infeasible: infeasible,
+			Seed: pr.Seed, Temp: t, Cur: c.f.total(), Best: c.bestE,
+			Accepted: c.accepted, Rejected: c.rejected, Infeasible: c.infeasible,
 		})
 	}
+	best := c.best
 	if tr.Enabled() {
 		tr.EndTID(obs.CatPlace, "anneal", tid)
 		tr.BeginTID(obs.CatPlace, "quench", tid)
@@ -193,10 +169,9 @@ func (m move) undo(p *Placement) {
 }
 
 // transform applies one random legal transformation operation to p and
-// returns the move together with its Eq. 3 energy delta, evaluated over
-// the incident nets only. ok is false when the sampled move was illegal
-// and p is unchanged.
-func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, delta float64, ok bool) {
+// returns the move. ok is false when the sampled move was illegal and p
+// is unchanged. Scoring the move is the caller's (chain.step).
+func transform(p *Placement, spacing int, r *rng.Source) (m move, ok bool) {
 	n := len(p.Rects)
 	switch r.Intn(3) {
 	case 0: // translate one component
@@ -206,26 +181,22 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, 
 		cand.X = spacing + r.Intn(max(1, p.W-2*spacing-cand.W+1))
 		cand.Y = spacing + r.Intn(max(1, p.H-2*spacing-cand.H+1))
 		if !fitsAt(p, i, cand, spacing) {
-			return move{}, 0, false
+			return move{}, false
 		}
-		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
-		delta = ix.CompEnergy(p, i) - before
-		return move{i: i, j: -1, oi: old}, delta, true
+		return move{i: i, j: -1, oi: old}, true
 	case 1: // rotate one component 90°
 		i := r.Intn(n)
 		old := p.Rects[i]
 		cand := Rect{X: old.X, Y: old.Y, W: old.H, H: old.W}
 		if !fitsAt(p, i, cand, spacing) {
-			return move{}, 0, false
+			return move{}, false
 		}
-		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
-		delta = ix.CompEnergy(p, i) - before
-		return move{i: i, j: -1, oi: old}, delta, true
+		return move{i: i, j: -1, oi: old}, true
 	default: // swap the positions of two components
 		if n < 2 {
-			return move{}, 0, false
+			return move{}, false
 		}
 		i := r.Intn(n)
 		j := r.Intn(n - 1)
@@ -244,13 +215,10 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, 
 		if !okI || !okJ {
 			p.Rects[i] = oi
 			p.Rects[j] = oj
-			return move{}, 0, false
+			return move{}, false
 		}
-		p.Rects[i], p.Rects[j] = oi, oj
-		before := ix.PairEnergy(p, i, j)
-		p.Rects[i], p.Rects[j] = ci, cj
-		delta = ix.PairEnergy(p, i, j) - before
-		return move{i: i, j: j, oi: oi, oj: oj}, delta, true
+		p.Rects[j] = cj
+		return move{i: i, j: j, oi: oi, oj: oj}, true
 	}
 }
 

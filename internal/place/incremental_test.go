@@ -24,13 +24,23 @@ func randomNets(n int, count int, r *rng.Source) []Net {
 	return nets
 }
 
-// TestIncrementalDeltaMatchesFull is the tentpole invariant: for 1k
-// random accepted moves on random placements, the incremental delta
-// returned by transform equals Energy(after) - Energy(before) within
-// 1e-9.
+// TestIncrementalDeltaMatchesFull is the fold's bit-exactness invariant,
+// over 1k random moves per benchmark on random placements, half kept and
+// half undone. Bit for bit: the staged incident-net delta equals the
+// reference delta (CompEnergy, or refPairEnergy for swaps, after minus
+// before); the full-sum delta the fold resumes for near ties, pending −
+// total, equals Energy(after) − Energy(before); and after the commit or
+// reject the fold's total equals Energy. The incident-net delta also
+// agrees with the full-sum delta to 1e-9: it misses no net.
 func TestIncrementalDeltaMatchesFull(t *testing.T) {
-	bms := []string{"IVD", "CPA", "Synthetic2"}
-	for _, name := range bms {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	incident := func(ix *NetIndex, p *Placement, mv move) float64 {
+		if mv.j < 0 {
+			return ix.CompEnergy(p, mv.i)
+		}
+		return refPairEnergy(ix, p, mv.i, mv.j)
+	}
+	for _, name := range []string{"IVD", "CPA", "Synthetic2"} {
 		_, comps := scheduled(t, name)
 		r := rng.New(42)
 		nets := randomNets(len(comps), 3*len(comps), r)
@@ -40,21 +50,33 @@ func TestIncrementalDeltaMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked := 0
-		for checked < 1000 {
-			before := Energy(p, nets)
-			mv, delta, ok := transform(p, 2, r, ix)
+		f := newEnergyFold(p, nets)
+		for checked := 0; checked < 1000; {
+			prev := p.Clone()
+			mv, ok := transform(p, 2, r)
 			if !ok {
 				continue
 			}
-			after := Energy(p, nets)
-			if math.Abs(delta-(after-before)) > 1e-9 {
-				t.Fatalf("%s move %d: incremental delta %v, full delta %v",
-					name, checked, delta, after-before)
+			before, after := Energy(prev, nets), Energy(p, nets)
+			ref := incident(ix, p, mv) - incident(ix, prev, mv)
+			delta := f.stage(ix, mv.i, mv.j)
+			if !same(delta, ref) {
+				t.Fatalf("%s move %d: staged delta %v, reference incident delta %v", name, checked, delta, ref)
 			}
-			// Exercise both branches: keep half the moves, undo the rest.
+			if math.Abs(delta-(after-before)) > 1e-9 {
+				t.Fatalf("%s move %d: incremental delta %v, full delta %v", name, checked, delta, after-before)
+			}
+			if full := f.pending() - f.total(); !same(full, after-before) {
+				t.Fatalf("%s move %d: fold full delta %v, Energy delta %v", name, checked, full, after-before)
+			}
 			if checked%2 == 1 {
+				f.reject()
 				mv.undo(p)
+			} else {
+				f.commit()
+			}
+			if got := f.total(); !same(got, Energy(p, nets)) {
+				t.Fatalf("%s move %d: fold total %v, Energy %v", name, checked, got, Energy(p, nets))
 			}
 			checked++
 		}
@@ -90,28 +112,35 @@ func TestCompEnergyAtMatchesMutation(t *testing.T) {
 	}
 }
 
-// TestPairEnergyCountsSharedNetsOnce pins the swap-move invariant: nets
-// joining the swapped pair must contribute exactly one term.
+// TestPairEnergyCountsSharedNetsOnce pins the swap-move invariant: a
+// swap restages every net incident to the pair once — nets joining the
+// pair included — whichever way round the pair is given.
 func TestPairEnergyCountsSharedNetsOnce(t *testing.T) {
 	nets := []Net{
 		{A: 0, B: 1, CP: 2},
 		{A: 0, B: 2, CP: 1},
 		{A: 1, B: 2, CP: 1},
 		{A: 0, B: 1, CP: 3}, // duplicate pair, distinct net
+		{A: 2, B: 3, CP: 5}, // untouched by the swap
 	}
-	ix := BuildNetIndex(3, nets)
+	ix := BuildNetIndex(4, nets)
 	p := &Placement{W: 20, H: 20, Rects: []Rect{
 		{X: 0, Y: 0, W: 2, H: 2},
-		{X: 4, Y: 0, W: 2, H: 2},
+		{X: 4, Y: 0, W: 2, H: 4},
 		{X: 0, Y: 4, W: 2, H: 2},
+		{X: 8, Y: 8, W: 2, H: 2},
 	}}
-	got := ix.PairEnergy(p, 0, 1)
-	want := p.Dist(0, 1)*2 + p.Dist(0, 2)*1 + p.Dist(1, 2)*1 + p.Dist(0, 1)*3
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PairEnergy = %v, want %v", got, want)
-	}
-	// Swapping the argument order must not change the result.
-	if rev := ix.PairEnergy(p, 1, 0); math.Abs(rev-got) > 1e-12 {
-		t.Fatalf("PairEnergy(1,0) = %v, PairEnergy(0,1) = %v", rev, got)
+	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+		q := p.Clone()
+		f := newEnergyFold(q, nets)
+		before := Energy(q, nets)
+		q.Rects[0], q.Rects[1] = Rect{X: 4, Y: 0, W: 2, H: 2}, Rect{X: 0, Y: 0, W: 2, H: 4}
+		delta := f.stage(ix, pair[0], pair[1])
+		if len(f.staged) != 4 {
+			t.Fatalf("pair %v: staged %v, want the 4 nets touching it once each", pair, f.staged)
+		}
+		if want := Energy(q, nets) - before; delta != want {
+			t.Fatalf("pair %v: delta %v, want %v", pair, delta, want)
+		}
 	}
 }

@@ -51,18 +51,3 @@ func (ix *NetIndex) CompEnergyAt(p *Placement, i int, r Rect) float64 {
 	}
 	return e
 }
-
-// PairEnergy returns the Eq. 3 energy restricted to nets incident to
-// component i or component j, with nets joining the pair counted once —
-// the slice of the sum a swap move can change.
-func (ix *NetIndex) PairEnergy(p *Placement, i, j int) float64 {
-	e := ix.CompEnergy(p, i)
-	for _, k := range ix.byComp[j] {
-		n := &ix.nets[k]
-		if int(n.A) == i || int(n.B) == i {
-			continue // joins the pair: already counted via i
-		}
-		e += p.Dist(n.A, n.B) * n.CP
-	}
-	return e
-}

@@ -151,8 +151,8 @@ func (p *Placement) Dist(a, b chip.CompID) float64 {
 // Energy evaluates Eq. 3 over the given nets.
 func Energy(p *Placement, nets []Net) float64 {
 	var e float64
-	for _, n := range nets {
-		e += p.Dist(n.A, n.B) * n.CP
+	for k := range nets {
+		e += netTerm(p, &nets[k])
 	}
 	return e
 }
@@ -310,14 +310,23 @@ func randomPlacement(comps []chip.Component, w, h, spacing int, r *rng.Source) (
 }
 
 // fitsAt reports whether rect cand for component i is legal against the
-// plane bounds and all already-placed components other than i.
+// plane bounds and all components other than i. cand, widened by the
+// spacing, overlaps r exactly when all four strict inequalities of
+// expandedOverlaps hold, that is when all four differences below are
+// negative — when their AND has the sign bit set. A cleared rectangle
+// (Rect{}, a swap's placeholder or a component randomPlacement has not
+// placed yet) never overlaps: the bounds check keeps cand.X-spacing >= 0.
 func fitsAt(p *Placement, i int, cand Rect, spacing int) bool {
 	if cand.X < spacing || cand.Y < spacing ||
 		cand.X+cand.W > p.W-spacing || cand.Y+cand.H > p.H-spacing {
 		return false
 	}
-	for j, r := range p.Rects {
-		if j != i && r.W != 0 && cand.expandedOverlaps(r, spacing) {
+	x0, x1 := cand.X-spacing, cand.X+cand.W+spacing
+	y0, y1 := cand.Y-spacing, cand.Y+cand.H+spacing
+	rs := p.Rects
+	for j := range rs {
+		r := &rs[j]
+		if (x0-r.X-r.W)&(r.X-x1)&(y0-r.Y-r.H)&(r.Y-y1) < 0 && j != i {
 			return false
 		}
 	}

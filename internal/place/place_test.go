@@ -273,9 +273,8 @@ func TestTransformPreservesLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildNetIndex(len(comps), nil)
 	for i := 0; i < 2000; i++ {
-		if _, _, ok := transform(p, 1, r, ix); ok {
+		if _, ok := transform(p, 1, r); ok {
 			if err := p.Legal(1); err != nil {
 				t.Fatalf("move %d broke legality: %v", i, err)
 			}
@@ -291,10 +290,9 @@ func TestUndoRestoresPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildNetIndex(len(comps), nil)
 	for i := 0; i < 500; i++ {
 		before := p.Clone()
-		mv, _, ok := transform(p, 1, r, ix)
+		mv, ok := transform(p, 1, r)
 		if !ok {
 			continue
 		}

@@ -331,22 +331,32 @@ func FuzzQuenchMatchesReference(f *testing.F) {
 // anneal of Synthetic1, quench included. While moves returned undo
 // closures, every feasible SA move allocated one: ~10,500 allocations
 // per anneal. With moves as plain values the count is set-up only — the
-// RNG, the initial and best placements, the net index and the scan
-// kernel's tables — 21 when this test was written. The budget keeps ~3x
-// headroom: it exists to catch a return to per-move or per-candidate
-// allocation, not to freeze the exact count across Go releases.
+// RNG, the initial and best placements, the net index, the energy fold
+// with its staging buffers and the scan kernel's tables — 21 when this
+// test was written. The budget keeps ~3x headroom: it exists to catch a
+// return to per-move or per-candidate allocation, not to freeze the
+// exact count across Go releases. The count must also not depend on the
+// number of moves: an anneal at Imax 60 and one at Imax 150 allocate
+// exactly as often.
 func TestAnnealAllocBudget(t *testing.T) {
 	sched, comps := scheduled(t, "Synthetic1")
 	nets := BuildNets(sched, 0.6, 0.4)
-	pr := DefaultParams()
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := Anneal(comps, nets, pr); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := func(imax int) float64 {
+		pr := DefaultParams()
+		pr.Imax = imax
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Anneal(comps, nets, pr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	avg, short := allocs(150), allocs(60)
 	const budget = 64
 	if avg > budget {
 		t.Fatalf("anneal averaged %.0f allocs, budget %d", avg, budget)
+	}
+	if short != avg {
+		t.Fatalf("anneal allocs depend on the move count: %.0f at Imax 60, %.0f at Imax 150", short, avg)
 	}
 	t.Logf("anneal of Synthetic1: %.0f allocs/op (budget %d)", avg, budget)
 }

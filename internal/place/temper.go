@@ -24,9 +24,10 @@ import (
 //
 // Determinism is scheduling-independent by construction:
 //
-//   - Every replica owns its RNG (seeded Seed+rung) and placement; within
-//     a round replicas never share mutable state, so stepping them on 1
-//     or N goroutines produces identical chains.
+//   - Every replica owns its chain (fold.go): an RNG seeded Seed+rung and
+//     a placement with its energy fold. Within a round replicas never
+//     share mutable state, so stepping them on 1 or N goroutines produces
+//     identical chains.
 //   - The shared NetIndex and nets slice are read-only for the whole run.
 //   - Swap decisions consume a dedicated RNG (derived from Seed only) on
 //     the coordinator, in fixed rung order at fixed round boundaries, and
@@ -36,20 +37,15 @@ import (
 //   - The winner is the lowest best-ever energy, ties broken by the
 //     smallest rung index.
 //
-// TestTemperedDeterminism pins byte-identical output across worker-pool
-// sizes; the default synthesis path never calls into this file.
+// TestTemperedDeterminismAcrossWorkers pins byte-identical output across
+// worker-pool sizes and TestTemperedFingerprints (repo root) pins the
+// output itself; the default synthesis path never calls into this file.
 
-// temperReplica is the full state of one rung of the ladder.
+// temperReplica is one rung of the ladder: a Metropolis chain at a fixed
+// temperature.
 type temperReplica struct {
-	temp  float64 // fixed rung temperature
-	r     *rng.Source
-	p     *Placement
-	cur   float64 // current Eq. 3 energy of p
-	best  *Placement
-	bestE float64
-	// round counters for telemetry, reset every round
-	accepted, rejected, infeasible int
-	err                            error
+	temp float64
+	chain
 }
 
 // AnnealTempered runs parallel-tempering placement with the given number
@@ -92,18 +88,15 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 		// Geometric ladder: rung 0 is the hottest (T0), the last rung sits
 		// at Tmin. Seeds follow the portfolio convention Seed+rung.
 		frac := float64(i) / float64(replicas-1)
-		rep := &temperReplica{
-			temp: pr.T0 * math.Pow(pr.Tmin/pr.T0, frac),
-			r:    rng.New(pr.Seed + uint64(i)),
+		r := rng.New(pr.Seed + uint64(i))
+		p, err := randomPlacement(comps, w, h, pr.Spacing, r)
+		if err != nil {
+			return nil, err
 		}
-		rep.p, rep.err = randomPlacement(comps, w, h, pr.Spacing, rep.r)
-		if rep.err != nil {
-			return nil, rep.err
+		reps[i] = &temperReplica{
+			temp:  pr.T0 * math.Pow(pr.Tmin/pr.T0, frac),
+			chain: newChain(p, nets, r),
 		}
-		rep.cur = Energy(rep.p, nets)
-		rep.best = rep.p.Clone()
-		rep.bestE = rep.cur
-		reps[i] = rep
 	}
 	// The swap stream is keyed on the base seed only; a distinct derivation
 	// constant keeps it disjoint from every replica stream.
@@ -139,7 +132,7 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 		// worker fan-out is free to schedule them in any order.
 		if workers == 1 {
 			for _, rep := range reps {
-				rep.step(pr, nets, ix)
+				rep.sweep(rep.temp, pr.Imax, pr.Spacing, ix)
 			}
 		} else {
 			jobs := make(chan *temperReplica)
@@ -149,7 +142,7 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 				go func() {
 					defer wg.Done()
 					for rep := range jobs {
-						rep.step(pr, nets, ix)
+						rep.sweep(rep.temp, pr.Imax, pr.Spacing, ix)
 					}
 				}()
 			}
@@ -167,10 +160,11 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 			a, b := reps[i], reps[i+1]
 			u := swapRng.Float64()
 			// β_a < β_b (a is hotter); accept with exp((β_a-β_b)(E_a-E_b)).
-			arg := (1/a.temp - 1/b.temp) * (a.cur - b.cur)
+			// A swap exchanges configurations: each placement moves with
+			// its energy fold, and best-so-far stays with the rung.
+			arg := (1/a.temp - 1/b.temp) * (a.f.total() - b.f.total())
 			if arg >= 0 || u < math.Exp(arg) {
-				a.p, b.p = b.p, a.p
-				a.cur, b.cur = b.cur, a.cur
+				a.f, b.f = b.f, a.f
 				swaps++
 			}
 		}
@@ -181,7 +175,7 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 				obs.Arg{Key: "swaps", Val: float64(swaps)})
 			for i, rep := range reps {
 				tr.AnnealStep(obs.AnnealStep{
-					Seed: pr.Seed + uint64(i), Temp: rep.temp, Cur: rep.cur, Best: rep.bestE,
+					Seed: pr.Seed + uint64(i), Temp: rep.temp, Cur: rep.f.total(), Best: rep.bestE,
 					Accepted: rep.accepted, Rejected: rep.rejected, Infeasible: rep.infeasible,
 				})
 			}
@@ -208,39 +202,4 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 		return nil, fmt.Errorf("place: tempering produced illegal placement: %w", err)
 	}
 	return best, nil
-}
-
-// step runs one round of Imax Metropolis moves at the replica's rung
-// temperature, maintaining the same incremental-energy discipline as the
-// plain annealer (see AnnealContext): near-tie deltas fall back to the
-// full Eq. 3 sum so the accept/reject stream matches a full-recompute
-// implementation bit for bit.
-func (rep *temperReplica) step(pr Params, nets []Net, ix *NetIndex) {
-	rep.accepted, rep.rejected, rep.infeasible = 0, 0, 0
-	for i := 0; i < pr.Imax; i++ {
-		mv, delta, ok := transform(rep.p, pr.Spacing, rep.r, ix)
-		if !ok {
-			rep.infeasible++
-			continue
-		}
-		next, haveNext := 0.0, false
-		if delta > -tieEps && delta < tieEps {
-			next, haveNext = Energy(rep.p, nets), true
-			delta = next - rep.cur
-		}
-		if delta < 0 || rep.r.Float64() < math.Exp(-delta/rep.temp) {
-			if !haveNext {
-				next = Energy(rep.p, nets)
-			}
-			rep.cur = next
-			if rep.cur < rep.bestE {
-				rep.bestE = rep.cur
-				rep.best.CopyFrom(rep.p)
-			}
-			rep.accepted++
-		} else {
-			mv.undo(rep.p)
-			rep.rejected++
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchdata"
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/fluid"
 	"repro/internal/protocol"
 	"repro/internal/solcache"
 	"repro/internal/unit"
@@ -238,7 +239,10 @@ func buildProtocol(p *ProtocolSpec) (*assay.Graph, error) {
 			return nil, err
 		}
 	case "heat_cycle":
-		if _, err := protocol.HeatCycle(b, assay.NoOp, p.Cycles, heat, mix); err != nil {
+		// HeatCycle extends an existing operation; the spec describes a
+		// whole assay, so it starts from a sample-preparation mix.
+		src := b.AddOp("cycle_src", assay.Mix, mix, fluid.Fluid{Name: "amplicon", D: 1e-7})
+		if _, err := protocol.HeatCycle(b, src, p.Cycles, heat, mix); err != nil {
 			return nil, err
 		}
 	default:

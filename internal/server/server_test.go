@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/solio"
 )
 
 // newTestServer builds a server with a small footprint and registers its
@@ -338,6 +341,33 @@ func TestProtocolRequestSynthesizes(t *testing.T) {
 	}
 	if jr.Metrics.ExecutionTimeMs <= 0 {
 		t.Fatalf("metrics: %+v", jr.Metrics)
+	}
+}
+
+// TestHeatCycleProtocolSynthesizes covers the "heat_cycle" protocol
+// kind end to end: the request builds (HeatCycle needs a source
+// operation, which buildProtocol must supply), synthesizes, and the
+// served solution passes the independent audit.
+func TestHeatCycleProtocolSynthesizes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	body := `{"protocol":{"kind":"heat_cycle","cycles":3},"options":{"imax":40}}`
+	var sub submitResponse
+	if code := postJSON(t, ts.URL, "/v1/synthesize", body, &sub); code != http.StatusAccepted {
+		t.Fatalf("POST: %d", code)
+	}
+	jr := waitTerminal(t, ts.URL, sub.JobID, 60*time.Second)
+	if jr.Status != "done" {
+		t.Fatalf("heat_cycle job: %s (%s)", jr.Status, jr.Error)
+	}
+	sol, err := solio.Decode(bytes.NewReader(fetchSolution(t, ts.URL, sub.JobID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sol.Assay.NumOps(); n != 7 {
+		t.Fatalf("assay has %d operations, want a source mix and 3 heat/mix cycles", n)
+	}
+	if rep := core.Audit(sol); !rep.OK() {
+		t.Fatalf("served heat_cycle solution fails the audit:\n%s", rep)
 	}
 }
 
