@@ -18,19 +18,30 @@ import (
 //
 // Every move costs O(degree), plus one pass of additions over a suffix of
 // the net list when it is kept or nearly tied; no Eq. 3 term is
-// evaluated for a net the move does not touch. The
-// annealer keeps each net's term and the left fold of those terms (an
-// energyFold), so the running total is always the float64 Energy would
-// return. A move restages only its incident nets' terms and is judged on
-// their delta; a near tie (|Δ| < tieEps) is judged on the full sum
+// evaluated for a net the move does not touch. The annealer keeps each
+// net's term and the left fold of those terms (an energyFold), so the
+// running total is always the float64 Energy would return. A term is
+// Dist·CP with the distance taken in integers from doubled centres,
+// |2(Xa−Xb)+(Wa−Wb)| + |2(Ya−Yb)+(Ha−Hb)|, then halved: centres are
+// half-integers, so the halved value is exactly the float centre
+// distance and the term carries the same bits. A move restages its
+// incident nets' terms in place, walking the net index and saving the
+// old terms in walk order so a reject replays the walk, and is judged
+// on their delta; a near tie (|Δ| < tieEps) is judged on the full sum
 // instead, resumed from the first restaged net, because there the
 // incident-net roundoff (~1e-11) could decide whether the Metropolis
-// draw is consumed at all. An accepted move commits its terms and
-// rewrites the fold's suffix. The trajectory — RNG stream, running total
-// and best-so-far comparisons — is therefore bit-identical to rescoring
-// every accepted and near-tie move with Energy: FuzzAnnealMatchesReference
-// checks that against a copy of that loop, and TestSolutionFingerprints
-// and TestTemperedFingerprints (repo root) pin the resulting solutions.
+// draw is consumed at all. An uphill move draws u and is accepted when
+// u < exp(−Δ/T), but most draws are decided by two
+// cubic Taylor bounds on exp with a 1e-9 relative margin, so math.Exp
+// runs only when u falls between them (metropolis). An accepted move
+// commits its terms and rewrites the fold's suffix. The trajectory — RNG
+// stream, running total and best-so-far comparisons — is therefore
+// bit-identical to rescoring every accepted and near-tie move with
+// Energy: FuzzAnnealMatchesReference checks that against a copy of that
+// loop, FuzzMetropolisMatchesExp the acceptance test against math.Exp,
+// and TestSolutionFingerprints, TestTemperedFingerprints and
+// TestWorkCountsPinned (repo root) pin the resulting solutions and move
+// counts.
 func Anneal(comps []chip.Component, nets []Net, pr Params) (*Placement, error) {
 	return AnnealContext(context.Background(), comps, nets, pr)
 }
@@ -161,7 +172,7 @@ type move struct {
 }
 
 // undo restores the rectangles the move replaced.
-func (m move) undo(p *Placement) {
+func (m *move) undo(p *Placement) {
 	p.Rects[m.i] = m.oi
 	if m.j >= 0 {
 		p.Rects[m.j] = m.oj
@@ -169,9 +180,10 @@ func (m move) undo(p *Placement) {
 }
 
 // transform applies one random legal transformation operation to p and
-// returns the move. ok is false when the sampled move was illegal and p
-// is unchanged. Scoring the move is the caller's (chain.step).
-func transform(p *Placement, spacing int, r *rng.Source) (m move, ok bool) {
+// records it in *m. It returns false, leaving p and *m unchanged, when
+// the sampled move was illegal. Scoring the move is the caller's
+// (chain.step).
+func transform(p *Placement, spacing int, r *rng.Source, m *move) bool {
 	n := len(p.Rects)
 	switch r.Intn(3) {
 	case 0: // translate one component
@@ -181,22 +193,24 @@ func transform(p *Placement, spacing int, r *rng.Source) (m move, ok bool) {
 		cand.X = spacing + r.Intn(max(1, p.W-2*spacing-cand.W+1))
 		cand.Y = spacing + r.Intn(max(1, p.H-2*spacing-cand.H+1))
 		if !fitsAt(p, i, cand, spacing) {
-			return move{}, false
+			return false
 		}
 		p.Rects[i] = cand
-		return move{i: i, j: -1, oi: old}, true
+		m.i, m.j, m.oi = i, -1, old
+		return true
 	case 1: // rotate one component 90°
 		i := r.Intn(n)
 		old := p.Rects[i]
 		cand := Rect{X: old.X, Y: old.Y, W: old.H, H: old.W}
 		if !fitsAt(p, i, cand, spacing) {
-			return move{}, false
+			return false
 		}
 		p.Rects[i] = cand
-		return move{i: i, j: -1, oi: old}, true
+		m.i, m.j, m.oi = i, -1, old
+		return true
 	default: // swap the positions of two components
 		if n < 2 {
-			return move{}, false
+			return false
 		}
 		i := r.Intn(n)
 		j := r.Intn(n - 1)
@@ -215,10 +229,11 @@ func transform(p *Placement, spacing int, r *rng.Source) (m move, ok bool) {
 		if !okI || !okJ {
 			p.Rects[i] = oi
 			p.Rects[j] = oj
-			return move{}, false
+			return false
 		}
 		p.Rects[j] = cj
-		return move{i: i, j: j, oi: oi, oj: oj}, true
+		m.i, m.j, m.oi, m.oj = i, j, oi, oj
+		return true
 	}
 }
 

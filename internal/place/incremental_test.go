@@ -53,8 +53,8 @@ func TestIncrementalDeltaMatchesFull(t *testing.T) {
 		f := newEnergyFold(p, nets)
 		for checked := 0; checked < 1000; {
 			prev := p.Clone()
-			mv, ok := transform(p, 2, r)
-			if !ok {
+			var mv move
+			if !transform(p, 2, r, &mv) {
 				continue
 			}
 			before, after := Energy(prev, nets), Energy(p, nets)
@@ -70,7 +70,7 @@ func TestIncrementalDeltaMatchesFull(t *testing.T) {
 				t.Fatalf("%s move %d: fold full delta %v, Energy delta %v", name, checked, full, after-before)
 			}
 			if checked%2 == 1 {
-				f.reject()
+				f.reject(ix)
 				mv.undo(p)
 			} else {
 				f.commit()
@@ -114,7 +114,9 @@ func TestCompEnergyAtMatchesMutation(t *testing.T) {
 
 // TestPairEnergyCountsSharedNetsOnce pins the swap-move invariant: a
 // swap restages every net incident to the pair once — nets joining the
-// pair included — whichever way round the pair is given.
+// pair included — whichever way round the pair is given, and a reject,
+// which walks the same nets again, puts back exactly the terms the stage
+// replaced.
 func TestPairEnergyCountsSharedNetsOnce(t *testing.T) {
 	nets := []Net{
 		{A: 0, B: 1, CP: 2},
@@ -136,11 +138,17 @@ func TestPairEnergyCountsSharedNetsOnce(t *testing.T) {
 		before := Energy(q, nets)
 		q.Rects[0], q.Rects[1] = Rect{X: 4, Y: 0, W: 2, H: 2}, Rect{X: 0, Y: 0, W: 2, H: 4}
 		delta := f.stage(ix, pair[0], pair[1])
-		if len(f.staged) != 4 {
-			t.Fatalf("pair %v: staged %v, want the 4 nets touching it once each", pair, f.staged)
+		if len(f.saved) != 4 {
+			t.Fatalf("pair %v: staged %d nets, want the 4 touching it once each", pair, len(f.saved))
 		}
 		if want := Energy(q, nets) - before; delta != want {
 			t.Fatalf("pair %v: delta %v, want %v", pair, delta, want)
+		}
+		f.reject(ix)
+		for k := range nets {
+			if got, want := f.term[k], netTerm(p, &nets[k]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pair %v: net %d term %v after reject, want %v", pair, k, got, want)
+			}
 		}
 	}
 }

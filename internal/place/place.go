@@ -96,6 +96,9 @@ type Net struct {
 	Tasks []int
 }
 
+// touches reports whether component c is one of the net's endpoints.
+func (n *Net) touches(c int) bool { return int(n.A) == c || int(n.B) == c }
+
 // Placement assigns a rectangle to every component on a W×H grid.
 type Placement struct {
 	W, H  int
@@ -144,8 +147,25 @@ func (p *Placement) Legal(spacing int) error {
 // Dist returns the Manhattan distance between the centres of components a
 // and b, in cells.
 func (p *Placement) Dist(a, b chip.CompID) float64 {
+	return float64(p.dist2(a, b)) * 0.5
+}
+
+// dist2 is twice the Manhattan distance between the centres of components
+// a and b, in integer arithmetic. A centre is X + W/2, so twice the x gap
+// is |2(Xa−Xb) + (Wa−Wb)|, and likewise in y. Every centre is a
+// half-integer, so float64(dist2)*0.5 is exact, and it is the same float64
+// that subtracting the CenterX/CenterY values gives: on grid-sized
+// coordinates every one of those float operations is exact too.
+func (p *Placement) dist2(a, b chip.CompID) int {
 	ra, rb := p.Rects[a], p.Rects[b]
-	return math.Abs(ra.CenterX()-rb.CenterX()) + math.Abs(ra.CenterY()-rb.CenterY())
+	return abs(2*(ra.X-rb.X)+ra.W-rb.W) + abs(2*(ra.Y-rb.Y)+ra.H-rb.H)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Energy evaluates Eq. 3 over the given nets.

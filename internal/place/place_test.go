@@ -273,8 +273,9 @@ func TestTransformPreservesLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mv move
 	for i := 0; i < 2000; i++ {
-		if _, ok := transform(p, 1, r); ok {
+		if transform(p, 1, r, &mv) {
 			if err := p.Legal(1); err != nil {
 				t.Fatalf("move %d broke legality: %v", i, err)
 			}
@@ -292,8 +293,8 @@ func TestUndoRestoresPlacement(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		before := p.Clone()
-		mv, ok := transform(p, 1, r)
-		if !ok {
+		var mv move
+		if !transform(p, 1, r, &mv) {
 			continue
 		}
 		mv.undo(p)

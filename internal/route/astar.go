@@ -3,12 +3,12 @@ package route
 import "repro/internal/chip"
 
 // The A* searches here are allocation-free on their hot path: all
-// per-search state (g-scores, parents, start/target marks, the open
-// heap and the BFS queue) lives in scratch slices and is invalidated in
-// O(1) by bumping a generation stamp instead of being reallocated per
-// task. The only allocations left are the returned path and the
-// per-destination heuristic field, which is computed once per component
-// and cached for the lifetime of the grid. A search mutates only its
+// per-search state (g-scores, parents, start/target marks and the open
+// heap) lives in scratch slices and is invalidated in O(1) by bumping a
+// generation stamp instead of being reallocated per task. The only
+// allocation left is the returned path; the per-destination heuristic
+// field is computed once per component into the grid's pooled field
+// buffer and cached for the lifetime of the grid. A search mutates only its
 // scratch, so several searches may run concurrently against one Grid as
 // long as each owns a private scratch, nothing commits meanwhile, and
 // every heuristic field was precomputed — the contract of the parallel
@@ -24,7 +24,6 @@ type scratch struct {
 	tmark  []uint32  // generation stamp: cell is a search target
 	gen    uint32
 	heap   []heapNode
-	queue  []int32     // BFS worklist for heuristic fields
 	stats  searchStats // telemetry counters, reset per reported search
 	// Read tracking for speculative parallel routing: when track is set,
 	// usableAt records every cell index it probes (deduplicated by rmark)
@@ -94,7 +93,6 @@ func (sc *scratch) reset() {
 	clear(sc.rmark)
 	sc.gen = 0
 	sc.heap = sc.heap[:0]
-	sc.queue = sc.queue[:0]
 	sc.reads = sc.reads[:0]
 	sc.track = false
 	sc.stats = searchStats{}
@@ -164,49 +162,55 @@ func (sc *scratch) hpop() heapNode {
 
 // hfield returns the heuristic distance field of a destination component:
 // for every grid cell, the exact Manhattan distance to the nearest port
-// cell of the component's ring, ignoring obstacles — the same value the
-// per-node min-over-ring scan used to produce, precomputed once by
-// multi-source BFS (on an unobstructed 4-connected grid, BFS distance IS
-// Manhattan distance to the nearest source) and then read in O(1) per
-// node. Rings never change after NewGrid, so the field is cached for the
-// grid's lifetime.
+// cell of the component's ring, ignoring obstacles, read in O(1) per
+// node. It is the two-pass city-block distance transform of Rosenfeld
+// and Pfaltz: seeded with 0 on the ring and a bound above any distance
+// elsewhere, a forward raster pass takes the minimum over the left and
+// upper neighbours plus one and a backward pass over the right and lower
+// ones. On an unobstructed grid that is exact: from any cell, some
+// shortest L1 path to any port cell first moves only right or down and
+// then only left or up (through the corner sharing one coordinate with
+// each end); the forward pass carries the second leg and the backward
+// pass the first. Rings never change after NewGrid, so the field is
+// cached for the grid's lifetime, in the grid's hbuf.
 func (g *Grid) hfield(comp chip.CompID) []int32 {
 	if f := g.hfields[comp]; f != nil {
 		return f
 	}
-	f := make([]int32, g.W*g.H)
+	w, n := g.W, g.W*g.H
+	f := g.hbuf[int(comp)*n : int(comp)*n+n : int(comp)*n+n]
+	far := int32(g.W + g.H)
 	for i := range f {
-		f[i] = -1
+		f[i] = far
 	}
-	q := g.sc.queue[:0]
 	for _, c := range g.rings[comp] {
-		i := int32(g.idx(c.X, c.Y))
-		f[i] = 0
-		q = append(q, i)
+		f[g.idx(c.X, c.Y)] = 0
 	}
-	w := int32(g.W)
-	for head := 0; head < len(q); head++ {
-		i := q[head]
-		d := f[i] + 1
-		x := i % w
-		if x > 0 && f[i-1] < 0 {
-			f[i-1] = d
-			q = append(q, i-1)
+	// Row by row: the neighbour across the row boundary is final when a
+	// row starts, so taking it first and then sweeping along the row is
+	// the raster order of the pass.
+	for y := 0; y < g.H; y++ {
+		row := f[y*w : y*w+w]
+		if y > 0 {
+			for x, u := range f[y*w-w : y*w] {
+				row[x] = min(row[x], u+1)
+			}
 		}
-		if x < w-1 && f[i+1] < 0 {
-			f[i+1] = d
-			q = append(q, i+1)
-		}
-		if j := i - w; j >= 0 && f[j] < 0 {
-			f[j] = d
-			q = append(q, j)
-		}
-		if j := i + w; j < int32(len(f)) && f[j] < 0 {
-			f[j] = d
-			q = append(q, j)
+		for x := 1; x < w; x++ {
+			row[x] = min(row[x], row[x-1]+1)
 		}
 	}
-	g.sc.queue = q[:0]
+	for y := g.H - 1; y >= 0; y-- {
+		row := f[y*w : y*w+w]
+		if y < g.H-1 {
+			for x, d := range f[y*w+w : y*w+2*w] {
+				row[x] = min(row[x], d+1)
+			}
+		}
+		for x := w - 2; x >= 0; x-- {
+			row[x] = min(row[x], row[x+1]+1)
+		}
+	}
 	g.hfields[comp] = f
 	return f
 }

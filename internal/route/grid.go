@@ -82,14 +82,20 @@ type Grid struct {
 	rings   [][]Cell // all free boundary cells per component: every one
 	// is a usable flow port, so concurrent tasks at one component do not
 	// contend for a single cell
-	sc      scratch   // reusable A*/BFS state; see astar.go
+	sc      scratch   // reusable A* state; see astar.go
 	hfields [][]int32 // cached heuristic fields per destination component
+	// hbuf backs every component's heuristic field: W·H cells per
+	// component, component c at hbuf[c·W·H:]. It survives in gridPool,
+	// and hfield overwrites every cell of a field before the field is
+	// read, so a recycled buffer needs no scrub.
+	hbuf []int32
 }
 
 // gridPool recycles Grid shells between routings. A NewGrid/release pair
 // brackets every routing pass, so the big per-plane arrays (blocked,
-// weight, slots and the A* scratch — five W×H slices plus one []slot
-// header per cell) are allocated once per size class and reused across
+// weight, slots, the heuristic-field buffer and the A* scratch — W×H
+// slices plus one []slot header per cell) are allocated once per size
+// class and reused across
 // dilation retries, seed retries and served requests instead of being
 // torn down per pass. release scrubs all mutable state, so a recycled
 // grid is indistinguishable from a fresh one — determinism does not
@@ -129,6 +135,11 @@ func NewGrid(comps []chip.Component, pl *place.Placement, pr Params) (*Grid, err
 	g.ports = make([]Cell, len(comps))
 	g.rings = make([][]Cell, len(comps))
 	g.hfields = make([][]int32, len(comps))
+	if nh := len(comps) * n; cap(g.hbuf) < nh {
+		g.hbuf = make([]int32, nh)
+	} else {
+		g.hbuf = g.hbuf[:nh]
+	}
 	for i := range g.weight {
 		g.weight[i] = pr.We
 	}

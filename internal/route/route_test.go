@@ -1,6 +1,8 @@
 package route
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/benchdata"
@@ -393,5 +395,47 @@ func TestTasksFromHoldSemantics(t *testing.T) {
 	}
 	if !anyHold {
 		t.Log("no cached transports on Synthetic4 (unexpected but legal)")
+	}
+}
+
+// TestRouteAllocBudget pins the allocations of one default-parameter
+// routing of Synthetic4 on the placement BenchmarkAStarSynthetic4 uses
+// (the Imax 150 anneal, dilated 1.5x). The grid arrays, the A* scratch
+// and the heuristic fields all come from gridPool, so what is left is
+// per routing: the returned paths and result, the task list and the
+// per-component port rings. While each destination component's field was
+// a fresh W·H slice, a routing cost 1,455 allocations and 774 KB; this
+// test was written at 1,437 and 185 KB. The budgets keep some headroom
+// for other Go releases: they exist to catch per-field or per-search
+// allocation coming back, not to freeze the exact count. Both counts are
+// the minimum over single routings: a routing that finds the pool empty
+// (after GC cycles, or when the race detector drops pooled items on
+// purpose) allocates a whole grid, while an allocation in the routing
+// itself shows in every one of them.
+func TestRouteAllocBudget(t *testing.T) {
+	sr, comps, _ := pipeline(t, "Synthetic4", false)
+	pl, err := place.Anneal(comps, place.BuildNets(sr, 0.6, 0.4), place.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl = place.Dilate(pl, 1.5)
+	const allocBudget, byteBudget = 1600, 256 << 10
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 10 {
+		runtime.ReadMemStats(&ms)
+		m0, b0 := ms.Mallocs, ms.TotalAlloc
+		if _, err := Route(sr, comps, pl, DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		allocs, bytes = min(allocs, ms.Mallocs-m0), min(bytes, ms.TotalAlloc-b0)
+	}
+	t.Logf("route of Synthetic4: %d allocs, %d B (budgets %d, %d)", allocs, bytes, allocBudget, byteBudget)
+	if allocs > allocBudget {
+		t.Errorf("route allocated %d times, budget %d", allocs, allocBudget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("route allocated %d B, budget %d", bytes, byteBudget)
 	}
 }
